@@ -135,6 +135,7 @@ func NewRouterWith(c *gc.Cube, o Options) *Router {
 		}
 	}
 	r.scratch.New = func() any { return new(routeScratch) }
+	r.bfs.New = func() any { return new(bfsScratch) }
 	return r
 }
 

@@ -30,12 +30,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"gaussiancube/internal/bitutil"
 	"gaussiancube/internal/fault"
 	"gaussiancube/internal/gc"
-	"gaussiancube/internal/graph"
 	"gaussiancube/internal/gtree"
 	"gaussiancube/internal/hypercube"
 	"gaussiancube/internal/mtree"
@@ -84,6 +84,11 @@ type Router struct {
 	// checks one out for its lifetime, which is what keeps the
 	// fault-free hot path allocation-free without a per-call lock.
 	scratch sync.Pool
+	// bfs pools the BFS fallback's buffers (bfsScratch). They live
+	// apart from routeScratch because nested repair routes hold several
+	// routeScratch values at once while only a top-level route falls
+	// back, so per-scratch buffers would multiply by the nesting depth.
+	bfs sync.Pool
 	// Re-rooting tables (reroot.go), built lazily on the first
 	// NewSource probe of a faulted origin.
 	rerootOnce   sync.Once
@@ -231,8 +236,8 @@ func (r *Router) RouteCtx(ctx context.Context, s, d gc.NodeID) (*Result, error) 
 		}
 		return nil, err
 	}
-	fb := r.bfsFallback(s, d)
-	if fb == nil {
+	fb, ok := r.appendFallback(nil, s, d)
+	if !ok {
 		if r.tracer != nil {
 			r.traceAbandoned(abandoned)
 			r.traceOutcome(trace.OutcomeError, "unreachable")
@@ -318,8 +323,9 @@ func (r *Router) RouteIntoCtx(ctx context.Context, dst []gc.NodeID, s, d gc.Node
 		}
 		return dst, err
 	}
-	fb := r.bfsFallback(s, d)
-	if fb == nil {
+	start := len(dst)
+	dst, ok := r.appendFallback(dst, s, d)
+	if !ok {
 		if r.tracer != nil {
 			r.traceAbandoned(abandoned)
 			r.traceOutcome(trace.OutcomeError, "unreachable")
@@ -328,10 +334,10 @@ func (r *Router) RouteIntoCtx(ctx context.Context, dst []gc.NodeID, s, d gc.Node
 	}
 	if r.tracer != nil {
 		r.traceAbandoned(abandoned)
-		r.traceFallbackPath(fb)
+		r.traceFallbackPath(dst[start:])
 		r.traceOutcome(trace.OutcomeOK, "bfs-fallback")
 	}
-	return append(dst, fb...), nil
+	return dst, nil
 }
 
 // OptimalLength returns the fault-free length of the strategy's route,
@@ -344,9 +350,95 @@ func (r *Router) OptimalLength(s, d gc.NodeID) int {
 	return n
 }
 
-// bfsFallback routes over the healthy subgraph.
-func (r *Router) bfsFallback(s, d gc.NodeID) []gc.NodeID {
-	return graph.ShortestPath(healthyView{cube: r.cube, faults: r.faults}, s, d)
+// appendFallback appends a shortest path from s to d over the healthy
+// subgraph onto dst and reports whether d is reachable; when it is not,
+// dst comes back unextended. The search is graph.ShortestPath over
+// healthyView — breadth first, each node's neighbours in LinkDims
+// order, stopping when d is first reached — so it returns the same
+// path, but it runs on pooled buffers and probes faults straight from
+// the Set: a warmed call allocates nothing beyond dst's growth.
+func (r *Router) appendFallback(dst []gc.NodeID, s, d gc.NodeID) ([]gc.NodeID, bool) {
+	if s == d {
+		return append(dst, s), true
+	}
+	fs := r.faults
+	if fs != nil && fs.NodeFaulty(s) {
+		return dst, false
+	}
+	b := r.bfs.Get().(*bfsScratch)
+	defer r.bfs.Put(b)
+	stamp := b.newGen(r.cube.Nodes()) << bfsDimBits
+	b.visit[s] = stamp
+	q := append(b.queue[:0], s)
+	found := false
+	for qi := 0; qi < len(q) && !found; qi++ {
+		v := q[qi]
+		for _, dim := range r.cube.LinkDims(v) {
+			w := v ^ (1 << dim)
+			if b.visit[w]&^bfsDimMask == stamp || fs != nil && (fs.LinkFaulty(v, dim) || fs.NodeFaulty(w)) {
+				continue
+			}
+			b.visit[w] = stamp | uint16(dim)
+			if w == d {
+				found = true
+				break
+			}
+			q = append(q, w)
+		}
+	}
+	b.queue = q[:0]
+	if !found {
+		return dst, false
+	}
+	// Count the path's nodes, then write it back to front from d.
+	n := 1
+	for v := d; v != s; v = b.parent(v) {
+		n++
+	}
+	start := len(dst)
+	dst = slices.Grow(dst, n)[:start+n]
+	for i, v := start+n-1, d; i >= start; i, v = i-1, b.parent(v) {
+		dst[i] = v
+	}
+	return dst, true
+}
+
+// bfsScratch is the fallback search's reusable state. Visited marks
+// are generation-stamped, as in the gtree traverser, so starting a
+// search is a counter bump, not a sweep. Each mark is 2 bytes: v was
+// reached in the current search iff visit[v]>>bfsDimBits == gen, and
+// the low bits then hold the dimension it was reached through.
+type bfsScratch struct {
+	visit []uint16
+	gen   uint16
+	queue []gc.NodeID
+}
+
+const (
+	bfsDimBits = 5 // gc.New caps n at 26, so a dimension fits
+	bfsDimMask = 1<<bfsDimBits - 1
+	bfsGenMax  = 1<<(16-bfsDimBits) - 1
+)
+
+// newGen starts a fresh search over a cube of the given node count,
+// sizing visit on first use.
+func (b *bfsScratch) newGen(nodes int) uint16 {
+	if len(b.visit) != nodes {
+		b.visit = make([]uint16, nodes)
+		b.gen = 0
+	}
+	if b.gen == bfsGenMax { // wrapped: sweep once, then restart stamping
+		clear(b.visit)
+		b.gen = 0
+	}
+	b.gen++
+	return b.gen
+}
+
+// parent returns the BFS parent of a node reached in the current
+// search.
+func (b *bfsScratch) parent(v gc.NodeID) gc.NodeID {
+	return v ^ 1<<(b.visit[v]&bfsDimMask)
 }
 
 // healthyView exposes the non-faulty part of the cube as a

@@ -59,12 +59,20 @@ func keyOf(f Fault) faultKey {
 // epoch counter so downstream consumers — route caches, planners —
 // can detect that knowledge derived from an earlier state is stale.
 //
-// Dynamic is safe for concurrent readers; AdvanceTo/Inject/Repair take
-// the write lock. The wrapped Set is never exposed mutably: Snapshot
-// returns a frozen clone, and the oracle methods (NodeFaulty,
-// LinkFaulty) read under the lock, so concurrent routing during fault
-// activation cannot race with mutation.
+// Dynamic is safe for concurrent readers; AdvanceTo/Inject/Repair are
+// serialized by a writer mutex held from applying the events through
+// the last subscriber callback of the resulting epoch, and take the
+// state lock only while they change the set. The wrapped Set is never
+// exposed mutably: Snapshot returns a frozen clone, and the oracle
+// methods (NodeFaulty, LinkFaulty) read under the state lock, so
+// concurrent routing during fault activation cannot race with
+// mutation.
 type Dynamic struct {
+	// wmu serializes mutators, each from apply through notification
+	// (see bumpAndNotify). mu guards the state below; readers take it
+	// shared, and a mutator holds it exclusively only while it applies
+	// events and bumps the epoch, so callbacks may read freely.
+	wmu      sync.Mutex
 	mu       sync.RWMutex
 	cube     *gc.Cube
 	active   *Set
@@ -80,15 +88,6 @@ type Dynamic struct {
 	subs      []func(epoch uint64)
 	evSubs    []func(Event)
 	batchSubs []func(epoch, fp uint64, events []Event)
-
-	// Notification turnstile: callbacks for epoch e complete before any
-	// callback for an epoch > e begins, even when mutations race (see
-	// bumpAndNotify). notifyTurn is the last epoch whose callbacks have
-	// finished; a mutation that bumped the epoch to t waits until
-	// notifyTurn == t-1, runs its callbacks, then publishes t.
-	notifyMu   sync.Mutex
-	notifyCond *sync.Cond
-	notifyTurn uint64
 }
 
 // NewDynamic builds a dynamic fault set over cube c driven by the given
@@ -106,14 +105,12 @@ func NewDynamic(c *gc.Cube, events []Event) *Dynamic {
 			tr[keyOf(e.Fault)] = true
 		}
 	}
-	d := &Dynamic{
+	return &Dynamic{
 		cube:      c,
 		active:    NewSet(c),
 		schedule:  sched,
 		transient: tr,
 	}
-	d.notifyCond = sync.NewCond(&d.notifyMu)
-	return d
 }
 
 // BatchInject converts a static fault set into inject events at time t,
@@ -260,10 +257,11 @@ func (d *Dynamic) Subscribe(fn func(epoch uint64)) {
 // callbacks are serialized across concurrent mutators in epoch order —
 // every callback of epoch e returns before any callback of epoch e+1
 // starts, so a subscriber appending events to a log observes the exact
-// state history. The cost is that callbacks must not mutate the
-// Dynamic they observe: a reentrant Inject/Repair would wait for its
-// own epoch's turn, which never comes. Reads (Epoch, Snapshot,
-// Fingerprint, oracle queries) are fine.
+// state history. No other mutation runs while a callback does, so reads
+// inside a callback (Epoch, Snapshot, Fingerprint, oracle queries) see
+// exactly the state of the callback's own epoch. The cost is that
+// callbacks must not mutate the Dynamic they observe: a reentrant
+// Inject/Repair would wait on the writer mutex its own caller holds.
 func (d *Dynamic) SubscribeEvents(fn func(Event)) {
 	d.mu.Lock()
 	d.evSubs = append(d.evSubs, fn)
@@ -290,6 +288,8 @@ func (d *Dynamic) SubscribeBatch(fn func(epoch, fp uint64, events []Event)) {
 // backwards is a no-op on state (Fork a fresh instance to replay the
 // schedule from zero).
 func (d *Dynamic) AdvanceTo(t int) bool {
+	d.wmu.Lock()
+	defer d.wmu.Unlock()
 	d.mu.Lock()
 	var applied []Event
 	if t > d.now {
@@ -310,6 +310,8 @@ func (d *Dynamic) AdvanceTo(t int) bool {
 // which lets adaptive routing wait it out. It reports whether the state
 // changed (false when the component was already faulty).
 func (d *Dynamic) Inject(f Fault, transient bool) bool {
+	d.wmu.Lock()
+	defer d.wmu.Unlock()
 	d.mu.Lock()
 	k := keyOf(f)
 	if transient {
@@ -329,6 +331,8 @@ func (d *Dynamic) Inject(f Fault, transient bool) bool {
 // Repair heals the component immediately, outside the schedule. It
 // reports whether the state changed.
 func (d *Dynamic) Repair(f Fault) bool {
+	d.wmu.Lock()
+	defer d.wmu.Unlock()
 	d.mu.Lock()
 	e := Event{Time: d.now, Op: OpRepair, Fault: f}
 	var applied []Event
@@ -372,15 +376,12 @@ func (d *Dynamic) apply(e Event) bool {
 // bumpAndNotify finishes a mutation: bumps the epoch and refreshes the
 // fingerprint when events were applied, releases d.mu, and notifies
 // event subscribers (per applied event, in order), then batch
-// subscribers, then epoch subscribers.
-//
-// Notification is serialized through the epoch turnstile: the epoch
-// counter assigned under d.mu is this mutation's ticket, and callbacks
-// run only once every earlier epoch's callbacks have completed. Two
-// racing mutations therefore never deliver their callbacks out of
-// epoch order (or interleaved), no matter which goroutine wins the
-// unlock. Callbacks run outside both locks, so they may read the
-// Dynamic freely — but must not mutate it (see SubscribeEvents).
+// subscribers, then epoch subscribers. The caller holds d.wmu
+// throughout and releases it after this returns, so no other mutation
+// can start until every callback of this epoch has run: callbacks are
+// delivered in dense epoch order, and the state they read is this
+// epoch's. Callbacks run outside d.mu, so they may read the Dynamic
+// freely — but must not mutate it (see SubscribeEvents).
 func (d *Dynamic) bumpAndNotify(applied []Event) {
 	if len(applied) == 0 {
 		d.mu.Unlock()
@@ -397,12 +398,6 @@ func (d *Dynamic) bumpAndNotify(applied []Event) {
 	batchSubs = append(batchSubs, d.batchSubs...)
 	d.mu.Unlock()
 
-	d.notifyMu.Lock()
-	for d.notifyTurn != epoch-1 {
-		d.notifyCond.Wait()
-	}
-	d.notifyMu.Unlock()
-
 	for _, e := range applied {
 		for _, fn := range evSubs {
 			fn(e)
@@ -414,11 +409,6 @@ func (d *Dynamic) bumpAndNotify(applied []Event) {
 	for _, fn := range subs {
 		fn(epoch)
 	}
-
-	d.notifyMu.Lock()
-	d.notifyTurn = epoch
-	d.notifyCond.Broadcast()
-	d.notifyMu.Unlock()
 }
 
 // Fork returns a fresh Dynamic at time zero over the same cube and

@@ -15,7 +15,7 @@ import (
 // records exactly what these callbacks deliver, so any interleaving or
 // reordering here would persist a history that replays to the wrong
 // state. Run under -race: the subscriber appends to plain slices
-// without its own locking, so the test also proves the turnstile
+// without its own locking, so the test also proves the writer mutex
 // provides the happens-before edges the contract promises.
 func TestSubscriberEpochOrderUnderConcurrentMutation(t *testing.T) {
 	cube := gc.New(8, 2)
